@@ -342,29 +342,35 @@ impl CheckpointSet {
     }
 }
 
-/// Run one functional pass over `program`, capturing a checkpoint at the
-/// start of every sampled interval: boundaries are multiples of
-/// `interval_len`, and interval `k` is sampled when `k % stride == 0`.
-/// The pass drives the [`Warmer`] over every instruction (including the
-/// skipped intervals — warming is continuous even where cycle simulation
-/// is not), so each checkpoint carries fully warm state.
+/// Run one functional pass over `program`, capturing a checkpoint at
+/// each instruction boundary `boundaries` yields (ascending and unique).
+/// The [`Warmer`] observes *every* instruction, including those between
+/// boundaries — warming is continuous even where cycle simulation is
+/// not — so each checkpoint carries the warm state of the whole prefix.
+///
+/// `boundaries` may be lazy and unbounded (the systematic multiples of
+/// [`crate::SampleSpec::boundaries`], whose count depends on a program
+/// length not known in advance): it is advanced only when a boundary is
+/// captured, and boundaries at or past halt are not captured.
+/// [`capture_checkpoints_at`] is the strict form for explicit lists.
 ///
 /// `max_insts` bounds runaway programs; reaching it is an error (a
 /// campaign needs the true program length to weight its aggregate).
-pub fn capture_interval_checkpoints(
+pub fn capture_checkpoints(
     program: &Program,
     workload: &str,
     hier_cfg: HierConfig,
     bpred_cfg: PredictorConfig,
-    interval_len: u64,
-    stride: u64,
+    boundaries: impl IntoIterator<Item = u64>,
     max_insts: u64,
 ) -> Result<CheckpointSet, String> {
-    assert!(interval_len > 0, "interval length must be nonzero");
-    assert!(stride > 0, "stride must be nonzero");
+    let mut boundaries = boundaries.into_iter();
     let mut interp = Interp::new(program);
     let mut warmer = Warmer::new(hier_cfg, bpred_cfg);
     let mut checkpoints = Vec::new();
+    // `u64::MAX` once the boundaries run out: `max_insts` stops the pass
+    // long before the instruction count could reach it.
+    let mut next = boundaries.next().unwrap_or(u64::MAX);
     loop {
         if interp.halted {
             break;
@@ -374,10 +380,11 @@ pub fn capture_interval_checkpoints(
                 "{workload}: functional pass exceeded {max_insts} instructions without halting"
             ));
         }
-        if interp.icount.is_multiple_of(interval_len)
-            && (interp.icount / interval_len).is_multiple_of(stride)
-        {
+        if interp.icount == next {
             checkpoints.push(Checkpoint::capture(workload, &interp, &warmer));
+            let prev = next;
+            next = boundaries.next().unwrap_or(u64::MAX);
+            debug_assert!(next > prev, "boundaries must be ascending and unique");
         }
         let si = interp
             .step()
@@ -390,12 +397,9 @@ pub fn capture_interval_checkpoints(
     })
 }
 
-/// Run one functional pass over `program`, capturing a checkpoint at each
-/// of the explicitly named instruction `boundaries` (ascending, deduped by
-/// the caller — typically the start instructions of SimPoint
-/// representative intervals). Like [`capture_interval_checkpoints`], the
-/// [`Warmer`] observes *every* instruction, so each checkpoint carries the
-/// warm state of the whole prefix, not just the sampled regions.
+/// [`capture_checkpoints`] at an explicit list of instruction
+/// `boundaries` (ascending, deduped by the caller — typically the start
+/// instructions of SimPoint representative intervals).
 ///
 /// Boundaries at or past the program's halt point are an error: a phase
 /// representative must exist inside the dynamic stream that produced it.
@@ -407,47 +411,27 @@ pub fn capture_checkpoints_at(
     boundaries: &[u64],
     max_insts: u64,
 ) -> Result<CheckpointSet, String> {
-    debug_assert!(
-        boundaries.windows(2).all(|w| w[0] < w[1]),
-        "boundaries must be ascending and unique"
-    );
-    let mut interp = Interp::new(program);
-    let mut warmer = Warmer::new(hier_cfg, bpred_cfg);
-    let mut checkpoints = Vec::new();
-    let mut next = 0usize;
-    loop {
-        if interp.halted {
-            break;
-        }
-        if interp.icount >= max_insts {
-            return Err(format!(
-                "{workload}: functional pass exceeded {max_insts} instructions without halting"
-            ));
-        }
-        if next < boundaries.len() && interp.icount == boundaries[next] {
-            checkpoints.push(Checkpoint::capture(workload, &interp, &warmer));
-            next += 1;
-        }
-        let si = interp
-            .step()
-            .map_err(|e| format!("{workload}: functional pass failed: {e}"))?;
-        warmer.observe(&si);
-    }
-    if next < boundaries.len() {
+    let set = capture_checkpoints(
+        program,
+        workload,
+        hier_cfg,
+        bpred_cfg,
+        boundaries.iter().copied(),
+        max_insts,
+    )?;
+    if let Some(missed) = boundaries.get(set.checkpoints.len()) {
         return Err(format!(
-            "{workload}: checkpoint boundary {} lies at or past the program's halt point ({})",
-            boundaries[next], interp.icount
+            "{workload}: checkpoint boundary {missed} lies at or past the program's halt point ({})",
+            set.total_insts
         ));
     }
-    Ok(CheckpointSet {
-        checkpoints,
-        total_insts: interp.icount,
-    })
+    Ok(set)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SampleSpec;
     use spear_isa::asm::Asm;
     use spear_isa::reg::*;
 
@@ -518,13 +502,16 @@ mod tests {
     #[test]
     fn capture_covers_sampled_intervals_and_total_length() {
         let p = chase_program(100);
-        let set = capture_interval_checkpoints(
+        let set = capture_checkpoints(
             &p,
             "chase",
             HierConfig::paper(),
             PredictorConfig::paper(),
-            100,
-            2,
+            SampleSpec {
+                interval_len: 100,
+                stride: 2,
+            }
+            .boundaries(),
             1_000_000,
         )
         .unwrap();
@@ -540,14 +527,17 @@ mod tests {
     #[test]
     fn capture_at_explicit_boundaries_matches_interval_capture() {
         let p = chase_program(100);
-        // The interval pass at (100, stride 2) captures at 0, 200, 400.
-        let by_interval = capture_interval_checkpoints(
+        // The systematic pass at (100, stride 2) captures at 0, 200, 400.
+        let by_interval = capture_checkpoints(
             &p,
             "chase",
             HierConfig::paper(),
             PredictorConfig::paper(),
-            100,
-            2,
+            SampleSpec {
+                interval_len: 100,
+                stride: 2,
+            }
+            .boundaries(),
             1_000_000,
         )
         .unwrap();
@@ -582,13 +572,16 @@ mod tests {
     #[test]
     fn checkpoint_resumes_functional_execution_exactly() {
         let p = chase_program(50);
-        let set = capture_interval_checkpoints(
+        let set = capture_checkpoints(
             &p,
             "chase",
             HierConfig::paper(),
             PredictorConfig::paper(),
-            64,
-            1,
+            SampleSpec {
+                interval_len: 64,
+                stride: 1,
+            }
+            .boundaries(),
             1_000_000,
         )
         .unwrap();
@@ -608,13 +601,16 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_everything() {
         let p = chase_program(40);
-        let set = capture_interval_checkpoints(
+        let set = capture_checkpoints(
             &p,
             "chase",
             HierConfig::paper(),
             PredictorConfig::paper(),
-            100,
-            1,
+            SampleSpec {
+                interval_len: 100,
+                stride: 1,
+            }
+            .boundaries(),
             1_000_000,
         )
         .unwrap();
@@ -633,13 +629,16 @@ mod tests {
     #[test]
     fn warm_checkpoint_carries_cache_and_predictor_state() {
         let p = chase_program(100);
-        let set = capture_interval_checkpoints(
+        let set = capture_checkpoints(
             &p,
             "chase",
             HierConfig::paper(),
             PredictorConfig::paper(),
-            200,
-            1,
+            SampleSpec {
+                interval_len: 200,
+                stride: 1,
+            }
+            .boundaries(),
             1_000_000,
         )
         .unwrap();
@@ -663,9 +662,19 @@ mod tests {
     fn warming_respects_the_configured_predictor_kind() {
         let p = chase_program(100);
         let cfg = PredictorConfig::paper().with_spec("tage").unwrap();
-        let set =
-            capture_interval_checkpoints(&p, "chase", HierConfig::paper(), cfg, 200, 1, 1_000_000)
-                .unwrap();
+        let set = capture_checkpoints(
+            &p,
+            "chase",
+            HierConfig::paper(),
+            cfg,
+            SampleSpec {
+                interval_len: 200,
+                stride: 1,
+            }
+            .boundaries(),
+            1_000_000,
+        )
+        .unwrap();
         let warm = &set.checkpoints[1];
         assert_eq!(warm.pred.dir.kind(), spear_bpred::PredictorKind::Tage);
         // And the tagged payload survives the JSON round trip.

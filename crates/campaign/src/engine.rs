@@ -31,9 +31,9 @@
 //! pass still serves every (machine, latency) point that uses the same
 //! predictor.
 
-use crate::checkpoint::{capture_checkpoints_at, capture_interval_checkpoints, CheckpointSet};
+use crate::checkpoint::{capture_checkpoints, capture_checkpoints_at, CheckpointSet};
 use crate::sample::{aggregate, plan_intervals, Aggregate, Interval, SampleSpec};
-use crate::shard_cache::ShardCache;
+use crate::shard_cache::{ShardCache, ShardKey};
 use crate::trace_cache::{record_trace, TraceCache};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -42,6 +42,7 @@ use spear_cpu::{Core, CoreConfig, CoreStats, RunExit, SimpointBlock, StatsExport
 use spear_isa::SpearBinary;
 use spear_trace::TraceFile;
 use std::collections::HashSet;
+use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -105,7 +106,7 @@ impl Default for SimpointSpec {
 
 impl SimpointSpec {
     /// Canonical one-string form, used as the manifest fingerprint field
-    /// and the shard-cache discriminator (e.g. `k4:seed42`; `k0` = auto).
+    /// (e.g. `k4:seed42`; `k0` = auto).
     pub fn label(&self) -> String {
         format!("k{}:seed{}", self.k, self.seed)
     }
@@ -142,6 +143,90 @@ pub struct CampaignSpec {
     /// `window` (windowed telemetry is a cycle partition of one run and
     /// cannot be weight-blended).
     pub simpoint: Option<SimpointSpec>,
+}
+
+impl CampaignSpec {
+    /// Check the spec before any work runs: workload specs, front-end
+    /// names, no axis value listed twice (a repeated workload, front end
+    /// or (machine, predictor, latency) point would run the same cells
+    /// twice and double-count them in the aggregate), nonzero interval
+    /// and stride, and the SimPoint rules (stride 1, windows off).
+    ///
+    /// The one home of these rules: [`Campaign::run_with`] calls it, and
+    /// so does `spear_serve::JobSpec::resolve`, which the `spear-sim
+    /// campaign` CLI and the campaign server both resolve through.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.workloads.is_empty() || self.points.is_empty() {
+            return Err("campaign needs at least one workload and one machine point".into());
+        }
+        for name in &self.workloads {
+            if spear_workloads::by_spec(name).is_none() {
+                return Err(format!("unknown workload `{name}`"));
+            }
+        }
+        unique("workload", &self.workloads)?;
+        let frontends = self.frontends();
+        for f in &frontends {
+            if f != "program" && f != "trace" {
+                return Err(format!(
+                    "unknown front end `{f}` (expected `program` or `trace`)"
+                ));
+            }
+        }
+        unique("front end", &frontends)?;
+        let points: Vec<String> = self
+            .points
+            .iter()
+            .map(|p| {
+                format!(
+                    "{}/{}/{}",
+                    p.machine,
+                    p.config.bpred.spec_label(),
+                    p.mem_latency
+                )
+            })
+            .collect();
+        unique("machine point", &points)?;
+        if self.sample.interval_len == 0 || self.sample.stride == 0 {
+            return Err("--interval and --stride must be nonzero".into());
+        }
+        if self.simpoint.is_some() {
+            if self.window.is_some() {
+                return Err("--simpoint is incompatible with --window: windowed \
+                            telemetry is a cycle partition of one run and cannot \
+                            be weight-blended across phase representatives"
+                    .into());
+            }
+            if self.sample.stride != 1 {
+                return Err(format!(
+                    "--simpoint requires stride 1 (phase clustering replaces \
+                     systematic sampling), got stride {}",
+                    self.sample.stride
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The front-end list, normalized: empty means the historical
+    /// program-driven campaign.
+    fn frontends(&self) -> Vec<String> {
+        if self.frontends.is_empty() {
+            vec!["program".to_string()]
+        } else {
+            self.frontends.clone()
+        }
+    }
+}
+
+/// Reject the first value of `items` that repeats an earlier one.
+fn unique(what: &str, items: &[String]) -> Result<(), String> {
+    for (i, item) in items.iter().enumerate() {
+        if items[..i].contains(item) {
+            return Err(format!("{what} `{item}` listed more than once"));
+        }
+    }
+    Ok(())
 }
 
 /// One completed cell, as persisted to `cells.jsonl`.
@@ -233,19 +318,85 @@ impl Deserialize for CellResult {
     }
 }
 
-type CellKey = (String, String, String, String, u32, u64);
-
 impl CellResult {
     /// The cell's identity within a campaign.
     pub fn key(&self) -> CellKey {
-        (
-            self.workload.clone(),
-            self.machine.clone(),
-            self.bpred.clone(),
-            self.frontend.clone(),
-            self.mem_latency,
-            self.interval,
+        CellKey {
+            group: GroupKey {
+                workload: self.workload.clone(),
+                machine: self.machine.clone(),
+                bpred: self.bpred.clone(),
+                frontend: self.frontend.clone(),
+                mem_latency: self.mem_latency,
+            },
+            interval: self.interval,
+        }
+    }
+}
+
+/// The aggregation group of a cell: every axis of its identity but the
+/// interval. One group is one [`Aggregate`] and one envelope file.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct GroupKey {
+    /// Workload spec.
+    pub workload: String,
+    /// Machine model name.
+    pub machine: String,
+    /// Canonical branch-predictor spec label.
+    pub bpred: String,
+    /// Instruction-supply front end.
+    pub frontend: String,
+    /// Main-memory latency in cycles.
+    pub mem_latency: u32,
+}
+
+impl GroupKey {
+    /// The stem of the group's aggregate envelope file. Default-axis
+    /// groups (bimodal predictor, program front end) keep the historical
+    /// `<workload>-<machine>-<latency>`; other predictors insert their
+    /// sanitized spec label and other front ends their name, so a
+    /// sweep's groups never collide.
+    pub fn file_stem(&self) -> String {
+        let mut stem = format!("{}-{}", self.workload, self.machine.replace('.', "_"));
+        if self.bpred != "bimodal" {
+            stem.push('-');
+            stem.push_str(&self.bpred.replace([':', ',', '='], "_"));
+        }
+        if self.frontend != "program" {
+            stem.push('-');
+            stem.push_str(&self.frontend);
+        }
+        format!("{stem}-{}", self.mem_latency)
+    }
+}
+
+/// `workload/machine/bpred/frontend/mem_latency`.
+impl fmt::Display for GroupKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}/{}/{}/{}/{}",
+            self.workload, self.machine, self.bpred, self.frontend, self.mem_latency
         )
+    }
+}
+
+/// A cell's identity within a campaign: its group plus the interval
+/// index. The derived `Ord` (group fields in declaration order, then the
+/// interval) is the order [`aggregate`] merges cells in.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct CellKey {
+    /// The aggregation group.
+    pub group: GroupKey,
+    /// Interval index within the workload.
+    pub interval: u64,
+}
+
+/// `workload/machine/bpred/frontend/mem_latency/interval`, the
+/// heartbeat's `last_cell` label.
+impl fmt::Display for CellKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}", self.group, self.interval)
     }
 }
 
@@ -392,19 +543,17 @@ pub struct WorkloadData {
     pub bpred: String,
     /// Evaluation binary with the compiled p-thread table attached.
     pub binary: SpearBinary,
-    /// Warm checkpoints at each sampled interval start.
+    /// Warm checkpoints at each planned interval start.
     pub set: CheckpointSet,
-    /// The sampled interval plan (under SimPoint: the representative
-    /// interval of each phase, ascending by start instruction).
-    pub intervals: Vec<Interval>,
-    /// Per-interval aggregation weight, parallel to `intervals`: the
-    /// phase population count under SimPoint. Empty means all-unit
-    /// weights (the plain campaign case).
-    pub weights: Vec<u64>,
+    /// The interval plan: each simulated interval with its aggregation
+    /// weight, ascending by start instruction. Systematic sampling plans
+    /// every `stride`-th interval at weight 1; SimPoint plans one
+    /// representative per phase, weighted by the phase's population.
+    pub plan: Vec<(Interval, u64)>,
     /// The recorded replay trace, present only when the campaign sweeps
     /// the `trace` front end (shards built without it cannot serve
-    /// trace-backed cells, which is why the shard-cache key carries the
-    /// supply discriminator).
+    /// trace-backed cells, which is why [`ShardKey::trace`] keys them
+    /// apart).
     pub trace: Option<Arc<TraceFile>>,
 }
 
@@ -451,21 +600,11 @@ impl Campaign {
         &self.dir
     }
 
-    /// The spec's front-end list, normalized: empty means the historical
-    /// program-driven campaign.
-    fn frontends(&self) -> Vec<String> {
-        if self.spec.frontends.is_empty() {
-            vec!["program".to_string()]
-        } else {
-            self.spec.frontends.clone()
-        }
-    }
-
     fn manifest(&self) -> ManifestDoc {
         ManifestDoc {
             version: CELL_SCHEMA_VERSION,
             workloads: self.spec.workloads.clone(),
-            frontends: self.frontends(),
+            frontends: self.spec.frontends(),
             points: self
                 .spec
                 .points
@@ -594,35 +733,8 @@ impl Campaign {
     pub fn run_with(&self, opts: &RunOptions<'_>) -> Result<RunSummary, String> {
         let on_progress = opts.on_progress;
         let t0 = Instant::now();
-        if self.spec.workloads.is_empty() || self.spec.points.is_empty() {
-            return Err("campaign needs at least one workload and one machine point".into());
-        }
-        let frontends = self.frontends();
-        for f in &frontends {
-            if f != "program" && f != "trace" {
-                return Err(format!(
-                    "unknown front end `{f}` (expected `program` or `trace`)"
-                ));
-            }
-            if frontends.iter().filter(|g| *g == f).count() > 1 {
-                return Err(format!("front end `{f}` listed more than once"));
-            }
-        }
-        if self.spec.simpoint.is_some() {
-            if self.spec.window.is_some() {
-                return Err("--simpoint is incompatible with --window: windowed \
-                            telemetry is a cycle partition of one run and cannot \
-                            be weight-blended across phase representatives"
-                    .into());
-            }
-            if self.spec.sample.stride != 1 {
-                return Err(format!(
-                    "--simpoint requires stride 1 (phase clustering replaces \
-                     systematic sampling), got stride {}",
-                    self.spec.sample.stride
-                ));
-            }
-        }
+        self.spec.validate()?;
+        let frontends = self.spec.frontends();
         let needs_trace = frontends.iter().any(|f| f == "trace");
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| format!("cannot create {}: {e}", self.dir.display()))?;
@@ -650,53 +762,27 @@ impl Campaign {
         // configured predictor, so each spec needs its own warm shards.
         // With a shard cache, warm state built by an earlier job (or an
         // earlier workload of this one) is reused instead of rebuilt.
-        let sample = self.spec.sample;
-        let mut bpreds: Vec<(String, spear_bpred::PredictorConfig)> = Vec::new();
-        for p in &self.spec.points {
-            let label = p.config.bpred.spec_label();
-            if !bpreds.iter().any(|(l, _)| *l == label) {
-                bpreds.push((label, p.config.bpred));
+        let shard_key = |workload: &str, point: &MachinePoint| ShardKey {
+            workload: workload.to_string(),
+            bpred: point.config.bpred.spec_label(),
+            trace: needs_trace,
+            simpoint: self.spec.simpoint,
+            sample: self.spec.sample,
+        };
+        let mut prep: Vec<(ShardKey, spear_bpred::PredictorConfig)> = Vec::new();
+        for name in &self.spec.workloads {
+            for point in &self.spec.points {
+                let key = shard_key(name, point);
+                if !prep.iter().any(|(k, _)| *k == key) {
+                    prep.push((key, point.config.bpred));
+                }
             }
         }
-        // Which prepared shard each sweep point uses.
-        let point_shard: Vec<usize> = self
-            .spec
-            .points
-            .iter()
-            .map(|p| {
-                let label = p.config.bpred.spec_label();
-                bpreds.iter().position(|(l, _)| *l == label).expect("seen")
-            })
-            .collect();
-        let prep: Vec<(String, spear_bpred::PredictorConfig)> = self
-            .spec
-            .workloads
-            .iter()
-            .flat_map(|name| bpreds.iter().map(move |(_, cfg)| (name.clone(), *cfg)))
-            .collect();
-        // Shards built with a trace attached also serve program cells,
-        // but not vice versa — the supply discriminator keys them apart
-        // in the shard cache.
-        let supply = if needs_trace { "trace" } else { "program" };
-        let simpoint = self.spec.simpoint;
-        // Simpoint shards carry different checkpoints and weights than
-        // plain shards of the same (workload, predictor, supply), so the
-        // clustering parameters discriminate the cache key ("off" when
-        // the campaign does not cluster).
-        let sp_label = simpoint.map_or_else(|| "off".to_string(), |s| s.label());
         let prepared: Vec<Result<Arc<WorkloadData>, String>> =
-            parallel_map(&prep, threads, |(name, cfg)| {
-                let build =
-                    || prepare_workload(name, *cfg, &sample, simpoint, needs_trace, opts.traces);
+            parallel_map(&prep, threads, |(key, cfg)| {
+                let build = || prepare_workload(key, *cfg, opts.traces);
                 match opts.cache {
-                    Some(cache) => cache.get_or_create(
-                        name,
-                        &cfg.spec_label(),
-                        supply,
-                        &sp_label,
-                        &sample,
-                        build,
-                    ),
+                    Some(cache) => cache.get_or_create(key, build),
                     None => build().map(Arc::new),
                 }
             });
@@ -708,28 +794,32 @@ impl Campaign {
         // Enumerate cells in deterministic order and drop completed ones.
         let mut pending = Vec::new();
         let mut total: u64 = 0;
-        for w in 0..self.spec.workloads.len() {
+        for name in &self.spec.workloads {
             for (p, point) in self.spec.points.iter().enumerate() {
-                let shard = w * bpreds.len() + point_shard[p];
+                let key = shard_key(name, point);
+                let shard = prep.iter().position(|(k, _)| *k == key).expect("prepared");
                 let wd = &wds[shard];
                 for (f, frontend) in frontends.iter().enumerate() {
-                    for (i, &interval) in wd.intervals.iter().enumerate() {
+                    let group = GroupKey {
+                        workload: wd.name.clone(),
+                        machine: point.machine.clone(),
+                        bpred: wd.bpred.clone(),
+                        frontend: frontend.clone(),
+                        mem_latency: point.mem_latency,
+                    };
+                    for &(interval, weight) in &wd.plan {
                         total += 1;
-                        let key = (
-                            wd.name.clone(),
-                            point.machine.clone(),
-                            wd.bpred.clone(),
-                            frontend.clone(),
-                            point.mem_latency,
-                            interval.index,
-                        );
+                        let key = CellKey {
+                            group: group.clone(),
+                            interval: interval.index,
+                        };
                         if !done.contains(&key) {
                             pending.push(Cell {
                                 w: shard,
                                 p,
                                 f,
                                 interval,
-                                weight: wd.weights.get(i).copied().unwrap_or(1),
+                                weight,
                             });
                         }
                     }
@@ -832,15 +922,7 @@ impl Campaign {
                                     break;
                                 }
                             }
-                            let fingerprint = format!(
-                                "{}/{}/{}/{}/{}/{}",
-                                res.workload,
-                                res.machine,
-                                res.bpred,
-                                res.frontend,
-                                res.mem_latency,
-                                res.interval
-                            );
+                            let fingerprint = res.key().to_string();
                             wall_sum_ms.fetch_add(res.wall_ms, Ordering::SeqCst);
                             committed_sum.fetch_add(res.stats.committed, Ordering::SeqCst);
                             new_results.lock().push(res);
@@ -917,7 +999,7 @@ pub struct RunOptions<'a> {
     /// cleanly resumable state (`interrupted` in the summary).
     pub cancel: Option<&'a AtomicBool>,
     /// Checkpoint-shard cache shared across runs: warm state is built
-    /// once per (workload, interval, stride) and reused read-only.
+    /// once per [`ShardKey`] and reused read-only.
     pub cache: Option<&'a ShardCache>,
     /// Trace cache shared across runs: the replay stream of a workload
     /// is recorded once and reused by every trace-backed job.
@@ -945,22 +1027,20 @@ pub fn write_aggregate_envelopes(
     std::fs::create_dir_all(&agg_dir)
         .map_err(|e| format!("cannot create {}: {e}", agg_dir.display()))?;
     let mut written = Vec::with_capacity(aggs.len());
+    // An aggregate reached the workload's halt only if its group
+    // contains the final (halting) interval.
+    let halted: HashSet<GroupKey> = results
+        .iter()
+        .filter(|c| c.exit == RunExit::Halted)
+        .map(|c| c.key().group)
+        .collect();
     for a in &aggs {
-        // An aggregate reached the workload's halt only if its group
-        // contains the final (halting) interval.
-        let halted = results.iter().any(|c| {
-            c.workload == a.workload
-                && c.machine == a.machine
-                && c.bpred == a.bpred
-                && c.frontend == a.frontend
-                && c.mem_latency == a.mem_latency
-                && c.exit == RunExit::Halted
-        });
+        let key = a.key();
         let mut doc = StatsExport::new(
             a.workload.clone(),
             &a.machine,
             a.mem_latency,
-            if halted {
+            if halted.contains(&key) {
                 RunExit::Halted
             } else {
                 RunExit::InstBudget
@@ -978,20 +1058,7 @@ pub fn write_aggregate_envelopes(
                 intervals: a.weight,
             });
         }
-        // Default-axis groups (bimodal predictor, program front end)
-        // keep the historical filename; other predictors insert their
-        // sanitized spec label and other front ends their name, so a
-        // sweep's groups never collide.
-        let mut stem = format!("{}-{}", a.workload, a.machine.replace('.', "_"));
-        if a.bpred != "bimodal" {
-            stem.push('-');
-            stem.push_str(&a.bpred.replace([':', ',', '='], "_"));
-        }
-        if a.frontend != "program" {
-            stem.push('-');
-            stem.push_str(&a.frontend);
-        }
-        let file = agg_dir.join(format!("{stem}-{}.json", a.mem_latency));
+        let file = agg_dir.join(format!("{}.json", key.file_stem()));
         std::fs::write(&file, doc.to_json())
             .map_err(|e| format!("cannot write {}: {e}", file.display()))?;
         written.push(file);
@@ -1135,22 +1202,21 @@ pub fn workload_timings(results: &[CellResult]) -> Vec<WorkloadTiming> {
     out
 }
 
-/// Phase 1 for one (workload, predictor spec): compile the p-thread
-/// table against the profiling input, attach it to the evaluation image,
-/// and capture warm checkpoints at every sampled interval boundary. The
-/// warmer trains `bpred_cfg`'s predictor, so the checkpoints restore
-/// only into cores configured with the same spec. When the campaign
-/// sweeps the `trace` front end, the workload's committed path is also
-/// recorded (or fetched from `traces`) so trace-backed cells can replay
-/// it.
+/// Phase 1 for one shard: compile the p-thread table against the
+/// profiling input, attach it to the evaluation image, plan the
+/// simulated intervals and capture a warm checkpoint at each one's
+/// start. The warmer trains `bpred_cfg`'s predictor (labelled
+/// `key.bpred`), so the checkpoints restore only into cores configured
+/// with the same spec. When the shard serves the `trace` front end, the
+/// workload's committed path is also recorded (or fetched from
+/// `traces`) so trace-backed cells can replay it.
 fn prepare_workload(
-    name: &str,
+    key: &ShardKey,
     bpred_cfg: spear_bpred::PredictorConfig,
-    sample: &SampleSpec,
-    simpoint: Option<SimpointSpec>,
-    needs_trace: bool,
     traces: Option<&TraceCache>,
 ) -> Result<WorkloadData, String> {
+    let name = key.workload.as_str();
+    let sample = &key.sample;
     let (w, scale) =
         spear_workloads::by_spec(name).ok_or_else(|| format!("unknown workload `{name}`"))?;
     let profile = w.profile_program();
@@ -1161,23 +1227,27 @@ fn prepare_workload(
     // The cache substrate is machine-independent (Table 2 geometry is
     // shared by every evaluated model), so these checkpoints serve all
     // (machine, latency) points that share the predictor spec.
-    let (set, intervals, weights) = match simpoint {
+    let hier = spear_mem::HierConfig::paper();
+    let (set, plan) = match key.simpoint {
         None => {
-            let set = capture_interval_checkpoints(
+            // Systematic sampling: the boundaries are generated lazily
+            // because the program length is known only at halt.
+            let set = capture_checkpoints(
                 &binary.program,
                 name,
-                spear_mem::HierConfig::paper(),
+                hier,
                 bpred_cfg,
-                sample.interval_len,
-                sample.stride,
+                sample.boundaries(),
                 MAX_FUNCTIONAL_INSTS,
             )?;
-            let intervals = plan_intervals(set.total_insts, sample);
-            debug_assert_eq!(intervals.len(), set.checkpoints.len());
-            (set, intervals, Vec::new())
+            let plan: Vec<(Interval, u64)> = plan_intervals(set.total_insts, sample)
+                .into_iter()
+                .map(|iv| (iv, 1))
+                .collect();
+            debug_assert_eq!(plan.len(), set.checkpoints.len());
+            (set, plan)
         }
         Some(sp) => {
-            debug_assert_eq!(sample.stride, 1, "validated by run_with");
             // Pass A (functional only, no warming): slice the committed
             // stream into basic-block vectors and cluster them into
             // phases. The partial tail interval clusters with the rest —
@@ -1199,7 +1269,7 @@ fn prepare_workload(
             // One representative interval per phase, carrying the phase's
             // population count as its aggregation weight; ascending by
             // start instruction so pass B captures in stream order.
-            let mut reps: Vec<(Interval, u64)> = clustering
+            let mut plan: Vec<(Interval, u64)> = clustering
                 .representatives
                 .iter()
                 .zip(&clustering.counts)
@@ -1215,14 +1285,14 @@ fn prepare_workload(
                     )
                 })
                 .collect();
-            reps.sort_by_key(|(iv, _)| iv.start_inst);
-            let boundaries: Vec<u64> = reps.iter().map(|(iv, _)| iv.start_inst).collect();
+            plan.sort_by_key(|(iv, _)| iv.start_inst);
+            let boundaries: Vec<u64> = plan.iter().map(|(iv, _)| iv.start_inst).collect();
             // Pass B: one warming pass over the whole stream, capturing a
             // checkpoint only at each representative's start boundary.
             let set = capture_checkpoints_at(
                 &binary.program,
                 name,
-                spear_mem::HierConfig::paper(),
+                hier,
                 bpred_cfg,
                 &boundaries,
                 MAX_FUNCTIONAL_INSTS,
@@ -1234,11 +1304,10 @@ fn prepare_workload(
                     set.total_insts
                 ));
             }
-            let (intervals, weights) = reps.into_iter().unzip();
-            (set, intervals, weights)
+            (set, plan)
         }
     };
-    let trace = if needs_trace {
+    let trace = if key.trace {
         Some(match traces {
             Some(tc) => tc.get_or_record(name, &binary, MAX_FUNCTIONAL_INSTS)?,
             None => Arc::new(record_trace(name, &binary, MAX_FUNCTIONAL_INSTS)?),
@@ -1248,11 +1317,10 @@ fn prepare_workload(
     };
     Ok(WorkloadData {
         name: name.to_string(),
-        bpred: bpred_cfg.spec_label(),
+        bpred: key.bpred.clone(),
         binary,
         set,
-        intervals,
-        weights,
+        plan,
         trace,
     })
 }
@@ -1367,6 +1435,51 @@ mod tests {
         // 10 cells took 1000ms -> 100ms/cell; 40 remain on 4 threads.
         assert_eq!(eta_ms(1000, 10, 40, 4), Some(1000));
         assert_eq!(eta_ms(1000, 10, 0, 4), Some(0), "nothing remaining");
+    }
+
+    #[test]
+    fn cell_key_label_and_file_stems_keep_their_historical_spelling() {
+        let key = |bpred: &str, frontend: &str| CellKey {
+            group: GroupKey {
+                workload: "pointer".into(),
+                machine: "superscalar".into(),
+                bpred: bpred.into(),
+                frontend: frontend.into(),
+                mem_latency: 120,
+            },
+            interval: 3,
+        };
+        let plain = key("bimodal", "program");
+        assert_eq!(
+            plain.to_string(),
+            "pointer/superscalar/bimodal/program/120/3"
+        );
+        assert_eq!(plain.group.file_stem(), "pointer-superscalar-120");
+        assert_eq!(
+            key("bimodal", "trace").group.file_stem(),
+            "pointer-superscalar-trace-120"
+        );
+        let label = spear_bpred::PredictorConfig::paper()
+            .with_spec("tage:tables=6,bits=10")
+            .unwrap()
+            .spec_label();
+        let tage = key(&label, "trace");
+        assert_eq!(
+            tage.to_string(),
+            format!("pointer/superscalar/{label}/trace/120/3")
+        );
+        assert_eq!(
+            tage.group.file_stem(),
+            "pointer-superscalar-tage_tables_6_bits_10_tag_8_hmin_4_hmax_64_decay_262144-trace-120"
+        );
+        let mut spear = key("bimodal", "program").group;
+        spear.machine = "SPEAR-128.x".into();
+        assert_eq!(spear.file_stem(), "pointer-SPEAR-128_x-120");
+        // The derived order is the historical tuple order: group fields
+        // in declaration order, then the interval.
+        let mut later = plain.clone();
+        later.interval = 4;
+        assert!(plain < later && later < key("bimodal", "trace"));
     }
 
     #[test]

@@ -36,15 +36,15 @@ pub mod shard_cache;
 pub mod trace_cache;
 
 pub use checkpoint::{
-    capture_checkpoints_at, capture_interval_checkpoints, Checkpoint, CheckpointSet, Warmer,
+    capture_checkpoints, capture_checkpoints_at, Checkpoint, CheckpointSet, Warmer,
 };
 pub use engine::{
     eta_ms, workload_timings, write_aggregate_envelopes, write_heartbeat, Campaign, CampaignSpec,
-    CellResult, HeartbeatDoc, MachinePoint, ProgressSnapshot, RunOptions, RunSummary, SimpointSpec,
-    WorkloadData, WorkloadTiming, CELL_SCHEMA_VERSION,
+    CellKey, CellResult, GroupKey, HeartbeatDoc, MachinePoint, ProgressSnapshot, RunOptions,
+    RunSummary, SimpointSpec, WorkloadData, WorkloadTiming, CELL_SCHEMA_VERSION,
 };
 pub use sample::{aggregate, plan_intervals, Aggregate, Interval, SampleSpec};
-pub use shard_cache::{ShardCache, ShardCacheStats};
+pub use shard_cache::{ShardCache, ShardCacheStats, ShardKey};
 pub use trace_cache::{record_trace, TraceCache, TraceCacheStats};
 
 #[cfg(test)]
@@ -355,6 +355,34 @@ mod engine_tests {
         let err = Campaign::new(&dir, spec).run(None).unwrap_err();
         assert!(err.contains("listed more than once"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn duplicate_axis_values_are_rejected_before_any_work() {
+        // A repeated axis value would run the same cells twice and
+        // double-count them in one aggregate.
+        let dir = temp_dir("dup-axis");
+        let mut spec = small_spec(1, None);
+        spec.workloads = vec!["pointer".into(), "pointer".into()];
+        let err = Campaign::new(&dir, spec).run(None).unwrap_err();
+        assert_eq!(err, "workload `pointer` listed more than once");
+        let mut spec = small_spec(1, None);
+        spec.points.push(spec.points[0].clone());
+        let err = Campaign::new(&dir, spec).run(None).unwrap_err();
+        assert_eq!(
+            err,
+            "machine point `superscalar/bimodal/120` listed more than once"
+        );
+        // The same machine under another predictor or latency is a
+        // distinct point.
+        let mut spec = small_spec(1, None);
+        let mut tage = spec.points[0].clone();
+        tage.config.bpred = tage.config.bpred.with_spec("tage").unwrap();
+        let mut slow = spec.points[0].clone();
+        slow.mem_latency = 200;
+        spec.points.extend([tage, slow]);
+        assert!(spec.validate().is_ok());
+        assert!(!dir.exists(), "rejected specs create nothing on disk");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! weighted aggregate. The aggregate IPC estimate is
 //! `sum(committed) / sum(cycles)` over the sampled intervals.
 
-use crate::engine::CellResult;
+use crate::engine::{CellResult, GroupKey};
 use spear_cpu::CoreStats;
 
 /// How to sample a workload.
@@ -34,6 +34,19 @@ impl SampleSpec {
             interval_len,
             stride: 1,
         }
+    }
+
+    /// The start instruction of every sampled interval, lazily and
+    /// without end: the multiples of `interval_len * stride` (interval
+    /// `k` is sampled when `k % stride == 0`). The program length that
+    /// ends the list is known only once a functional pass halts.
+    pub fn boundaries(&self) -> impl Iterator<Item = u64> {
+        assert!(
+            self.interval_len > 0 && self.stride > 0,
+            "interval length and stride must be nonzero"
+        );
+        let step = self.interval_len.saturating_mul(self.stride);
+        std::iter::successors(Some(0), move |b: &u64| b.checked_add(step))
     }
 }
 
@@ -99,6 +112,17 @@ pub struct Aggregate {
 }
 
 impl Aggregate {
+    /// The group this aggregate folds (see [`GroupKey`]).
+    pub fn key(&self) -> GroupKey {
+        GroupKey {
+            workload: self.workload.clone(),
+            machine: self.machine.clone(),
+            bpred: self.bpred.clone(),
+            frontend: self.frontend.clone(),
+            mem_latency: self.mem_latency,
+        }
+    }
+
     /// The sampled IPC estimate: `sum(committed) / sum(cycles)`.
     pub fn ipc(&self) -> f64 {
         self.stats.ipc()
@@ -123,47 +147,26 @@ impl Aggregate {
 /// worker threads produced the results or in what order the JSONL lines
 /// landed on disk.
 pub fn aggregate(results: &[CellResult]) -> Vec<Aggregate> {
-    let mut sorted: Vec<&CellResult> = results.iter().collect();
-    sorted.sort_by(|a, b| {
-        (
-            &a.workload,
-            &a.machine,
-            &a.bpred,
-            &a.frontend,
-            a.mem_latency,
-            a.interval,
-        )
-            .cmp(&(
-                &b.workload,
-                &b.machine,
-                &b.bpred,
-                &b.frontend,
-                b.mem_latency,
-                b.interval,
-            ))
-    });
+    let mut sorted: Vec<_> = results.iter().map(|c| (c.key(), c)).collect();
+    sorted.sort_by(|a, b| a.0.cmp(&b.0));
     let mut out: Vec<Aggregate> = Vec::new();
-    for cell in sorted {
-        let key_matches = out.last().is_some_and(|a| {
-            a.workload == cell.workload
-                && a.machine == cell.machine
-                && a.bpred == cell.bpred
-                && a.frontend == cell.frontend
-                && a.mem_latency == cell.mem_latency
-        });
-        if !key_matches {
+    let mut current: Option<GroupKey> = None;
+    for (key, cell) in sorted {
+        if current.as_ref() != Some(&key.group) {
+            let g = &key.group;
             out.push(Aggregate {
-                workload: cell.workload.clone(),
-                machine: cell.machine.clone(),
-                bpred: cell.bpred.clone(),
-                frontend: cell.frontend.clone(),
-                mem_latency: cell.mem_latency,
+                workload: g.workload.clone(),
+                machine: g.machine.clone(),
+                bpred: g.bpred.clone(),
+                frontend: g.frontend.clone(),
+                mem_latency: g.mem_latency,
                 stats: CoreStats::default(),
                 cells: 0,
                 weight: 0,
                 target_insts: 0,
                 wall_ms: 0,
             });
+            current = Some(key.group);
         }
         let agg = out.last_mut().expect("pushed above");
         // A plain campaign cell has weight 1 and this is an exact merge;

@@ -17,18 +17,28 @@
 //! job is an `Arc` clone, so eviction never invalidates in-flight work —
 //! it only drops the cache's own reference.
 
-use crate::engine::WorkloadData;
+use crate::engine::{SimpointSpec, WorkloadData};
 use crate::sample::SampleSpec;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Cache key: the parameters phase-1 state actually depends on —
-/// workload spec, canonical predictor spec label, instruction-supply
-/// discriminator (`program`, or `trace` when the shard also carries a
-/// recorded replay stream), SimPoint discriminator (`off`, or the
-/// clustering label `k<k>:seed<seed>` — simpoint shards carry different
-/// checkpoints and weights), interval length, stride.
-type ShardKey = (String, String, String, String, u64, u64);
+/// Cache key: the parameters phase-1 state actually depends on. No two
+/// values are interchangeable, so each keys its own shard.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ShardKey {
+    /// Workload spec.
+    pub workload: String,
+    /// Canonical label of the predictor the warmer trains.
+    pub bpred: String,
+    /// Whether the shard carries a recorded replay trace. A traced shard
+    /// could serve program cells too, but not vice versa.
+    pub trace: bool,
+    /// SimPoint clustering, if any: a simpoint shard holds checkpoints
+    /// at representative boundaries and population-count weights.
+    pub simpoint: Option<SimpointSpec>,
+    /// Interval length and stride.
+    pub sample: SampleSpec,
+}
 
 /// Cumulative cache counters, for `/metrics`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -89,37 +99,19 @@ impl ShardCache {
         self.budget
     }
 
-    /// Fetch the shard for `(workload, bpred, supply, simpoint,
-    /// sample)`, building it with `build` on a miss. `supply`
-    /// discriminates shards that carry a recorded replay trace (`trace`)
-    /// from plain program-driven ones (`program`), and `simpoint` keys
-    /// phase-clustered shards (checkpoints at representative boundaries,
-    /// population-count weights) apart from systematic ones (`off`) —
-    /// neither pair is interchangeable, so they cache separately.
+    /// Fetch the shard for `key`, building it with `build` on a miss.
     /// Building happens *outside* the cache lock so a slow
     /// functional pass never blocks hits on other shards; if two threads
     /// race to build the same key, the first insert wins and the loser's
     /// copy is dropped.
     pub fn get_or_create(
         &self,
-        workload: &str,
-        bpred: &str,
-        supply: &str,
-        simpoint: &str,
-        sample: &SampleSpec,
+        key: &ShardKey,
         build: impl FnOnce() -> Result<WorkloadData, String>,
     ) -> Result<Arc<WorkloadData>, String> {
-        let key: ShardKey = (
-            workload.to_string(),
-            bpred.to_string(),
-            supply.to_string(),
-            simpoint.to_string(),
-            sample.interval_len,
-            sample.stride,
-        );
         {
             let mut g = self.inner.lock();
-            if let Some(i) = g.entries.iter().position(|e| e.key == key) {
+            if let Some(i) = g.entries.iter().position(|e| e.key == *key) {
                 g.hits += 1;
                 // Touch: move to most-recently-used.
                 let e = g.entries.remove(i);
@@ -132,7 +124,7 @@ impl ShardCache {
         let built = Arc::new(build()?);
         let bytes = built.approx_bytes();
         let mut g = self.inner.lock();
-        if let Some(i) = g.entries.iter().position(|e| e.key == key) {
+        if let Some(i) = g.entries.iter().position(|e| e.key == *key) {
             // Lost a build race; keep the incumbent.
             let e = g.entries.remove(i);
             let data = e.data.clone();
@@ -140,7 +132,7 @@ impl ShardCache {
             return Ok(data);
         }
         g.entries.push(Entry {
-            key,
+            key: key.clone(),
             data: built.clone(),
             bytes,
         });
@@ -186,29 +178,31 @@ mod tests {
                 checkpoints: Vec::new(),
                 total_insts: 0,
             },
-            intervals: Vec::new(),
-            weights: Vec::new(),
+            plan: Vec::new(),
             trace: None,
         }
     }
 
-    fn spec() -> SampleSpec {
-        SampleSpec {
-            interval_len: 1000,
-            stride: 1,
+    /// The key of a plain (bimodal, program-only, systematic) shard.
+    fn key(workload: &str) -> ShardKey {
+        ShardKey {
+            workload: workload.to_string(),
+            bpred: "bimodal".to_string(),
+            trace: false,
+            simpoint: None,
+            sample: SampleSpec {
+                interval_len: 1000,
+                stride: 1,
+            },
         }
     }
 
     #[test]
     fn hits_after_first_build_and_counts() {
         let cache = ShardCache::new(u64::MAX);
-        let a1 = cache
-            .get_or_create("a", "bimodal", "program", "off", &spec(), || Ok(shard("a")))
-            .unwrap();
+        let a1 = cache.get_or_create(&key("a"), || Ok(shard("a"))).unwrap();
         let a2 = cache
-            .get_or_create("a", "bimodal", "program", "off", &spec(), || {
-                panic!("must not rebuild")
-            })
+            .get_or_create(&key("a"), || panic!("must not rebuild"))
             .unwrap();
         assert!(Arc::ptr_eq(&a1, &a2), "same shared shard");
         let s = cache.stats();
@@ -218,15 +212,19 @@ mod tests {
     #[test]
     fn distinct_sample_specs_are_distinct_shards() {
         let cache = ShardCache::new(u64::MAX);
-        cache
-            .get_or_create("a", "bimodal", "program", "off", &spec(), || Ok(shard("a")))
-            .unwrap();
+        cache.get_or_create(&key("a"), || Ok(shard("a"))).unwrap();
         let other = SampleSpec {
             interval_len: 500,
             stride: 2,
         };
         cache
-            .get_or_create("a", "bimodal", "program", "off", &other, || Ok(shard("a")))
+            .get_or_create(
+                &ShardKey {
+                    sample: other,
+                    ..key("a")
+                },
+                || Ok(shard("a")),
+            )
             .unwrap();
         assert_eq!(cache.stats().entries, 2);
         assert_eq!(cache.stats().misses, 2);
@@ -235,35 +233,55 @@ mod tests {
     #[test]
     fn distinct_predictor_specs_are_distinct_shards() {
         let cache = ShardCache::new(u64::MAX);
+        cache.get_or_create(&key("a"), || Ok(shard("a"))).unwrap();
         cache
-            .get_or_create("a", "bimodal", "program", "off", &spec(), || Ok(shard("a")))
-            .unwrap();
-        cache
-            .get_or_create("a", "tage", "program", "off", &spec(), || Ok(shard("a")))
+            .get_or_create(
+                &ShardKey {
+                    bpred: "tage".into(),
+                    ..key("a")
+                },
+                || Ok(shard("a")),
+            )
             .unwrap();
         assert_eq!(cache.stats().entries, 2, "warm state is per predictor");
         assert_eq!(cache.stats().misses, 2);
         cache
-            .get_or_create("a", "tage", "program", "off", &spec(), || panic!("cached"))
+            .get_or_create(
+                &ShardKey {
+                    bpred: "tage".into(),
+                    ..key("a")
+                },
+                || panic!("cached"),
+            )
             .unwrap();
     }
 
     #[test]
     fn distinct_supplies_are_distinct_shards() {
         // A program-only shard cannot serve trace-backed cells (no
-        // recorded replay stream attached), so the supply discriminator
-        // must key them apart.
+        // recorded replay stream attached), so the trace flag must key
+        // them apart.
         let cache = ShardCache::new(u64::MAX);
+        cache.get_or_create(&key("a"), || Ok(shard("a"))).unwrap();
         cache
-            .get_or_create("a", "bimodal", "program", "off", &spec(), || Ok(shard("a")))
-            .unwrap();
-        cache
-            .get_or_create("a", "bimodal", "trace", "off", &spec(), || Ok(shard("a")))
+            .get_or_create(
+                &ShardKey {
+                    trace: true,
+                    ..key("a")
+                },
+                || Ok(shard("a")),
+            )
             .unwrap();
         assert_eq!(cache.stats().entries, 2, "supply is part of the key");
         assert_eq!(cache.stats().misses, 2);
         cache
-            .get_or_create("a", "bimodal", "trace", "off", &spec(), || panic!("cached"))
+            .get_or_create(
+                &ShardKey {
+                    trace: true,
+                    ..key("a")
+                },
+                || panic!("cached"),
+            )
             .unwrap();
     }
 
@@ -273,25 +291,35 @@ mod tests {
         // simpoint shard only representative boundaries, with weights.
         // Different clustering parameters also differ from each other.
         let cache = ShardCache::new(u64::MAX);
+        cache.get_or_create(&key("a"), || Ok(shard("a"))).unwrap();
         cache
-            .get_or_create("a", "bimodal", "program", "off", &spec(), || Ok(shard("a")))
+            .get_or_create(
+                &ShardKey {
+                    simpoint: Some(SimpointSpec { k: 4, seed: 42 }),
+                    ..key("a")
+                },
+                || Ok(shard("a")),
+            )
             .unwrap();
         cache
-            .get_or_create("a", "bimodal", "program", "k4:seed42", &spec(), || {
-                Ok(shard("a"))
-            })
-            .unwrap();
-        cache
-            .get_or_create("a", "bimodal", "program", "k4:seed7", &spec(), || {
-                Ok(shard("a"))
-            })
+            .get_or_create(
+                &ShardKey {
+                    simpoint: Some(SimpointSpec { k: 4, seed: 7 }),
+                    ..key("a")
+                },
+                || Ok(shard("a")),
+            )
             .unwrap();
         assert_eq!(cache.stats().entries, 3, "simpoint is part of the key");
         assert_eq!(cache.stats().misses, 3);
         cache
-            .get_or_create("a", "bimodal", "program", "k4:seed42", &spec(), || {
-                panic!("cached")
-            })
+            .get_or_create(
+                &ShardKey {
+                    simpoint: Some(SimpointSpec { k: 4, seed: 42 }),
+                    ..key("a")
+                },
+                || panic!("cached"),
+            )
             .unwrap();
     }
 
@@ -299,15 +327,11 @@ mod tests {
     fn build_errors_are_propagated_and_not_cached() {
         let cache = ShardCache::new(u64::MAX);
         let err = cache
-            .get_or_create("a", "bimodal", "program", "off", &spec(), || {
-                Err("compile failed".to_string())
-            })
+            .get_or_create(&key("a"), || Err("compile failed".to_string()))
             .unwrap_err();
         assert!(err.contains("compile failed"));
         // A later attempt builds again (and can succeed).
-        cache
-            .get_or_create("a", "bimodal", "program", "off", &spec(), || Ok(shard("a")))
-            .unwrap();
+        cache.get_or_create(&key("a"), || Ok(shard("a"))).unwrap();
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().entries, 1);
     }
@@ -316,40 +340,30 @@ mod tests {
     fn lru_eviction_respects_the_byte_budget_and_keeps_hot_entries() {
         // Zero budget: every insert evicts down to a single entry.
         let cache = ShardCache::new(0);
-        cache
-            .get_or_create("a", "bimodal", "program", "off", &spec(), || Ok(shard("a")))
-            .unwrap();
-        cache
-            .get_or_create("b", "bimodal", "program", "off", &spec(), || Ok(shard("b")))
-            .unwrap();
+        cache.get_or_create(&key("a"), || Ok(shard("a"))).unwrap();
+        cache.get_or_create(&key("b"), || Ok(shard("b"))).unwrap();
         let s = cache.stats();
         assert_eq!(s.entries, 1, "budget forces eviction to one entry");
         assert_eq!(s.evictions, 1);
         // The survivor is the most recent one ("b"): "a" must rebuild.
         let rebuilt = std::cell::Cell::new(false);
         cache
-            .get_or_create("a", "bimodal", "program", "off", &spec(), || {
+            .get_or_create(&key("a"), || {
                 rebuilt.set(true);
                 Ok(shard("a"))
             })
             .unwrap();
         assert!(rebuilt.get(), "evicted entry rebuilds");
         cache
-            .get_or_create("a", "bimodal", "program", "off", &spec(), || {
-                panic!("now cached")
-            })
+            .get_or_create(&key("a"), || panic!("now cached"))
             .unwrap();
     }
 
     #[test]
     fn in_flight_arcs_survive_eviction() {
         let cache = ShardCache::new(0);
-        let held = cache
-            .get_or_create("a", "bimodal", "program", "off", &spec(), || Ok(shard("a")))
-            .unwrap();
-        cache
-            .get_or_create("b", "bimodal", "program", "off", &spec(), || Ok(shard("b")))
-            .unwrap();
+        let held = cache.get_or_create(&key("a"), || Ok(shard("a"))).unwrap();
+        cache.get_or_create(&key("b"), || Ok(shard("b"))).unwrap();
         // "a" was evicted from the cache, but our Arc still works.
         assert_eq!(held.name, "a");
     }

@@ -4,7 +4,8 @@
 //! fail loudly by version before any field is decoded.
 
 use spear_bpred::PredictorConfig;
-use spear_campaign::checkpoint::{capture_interval_checkpoints, Checkpoint, CHECKPOINT_VERSION};
+use spear_campaign::checkpoint::{capture_checkpoints, Checkpoint, CHECKPOINT_VERSION};
+use spear_campaign::SampleSpec;
 use spear_isa::asm::Asm;
 use spear_isa::reg::*;
 use spear_isa::Program;
@@ -47,13 +48,16 @@ fn sparse_program() -> Program {
 /// scattered stores and warm microarchitectural state.
 fn sparse_checkpoint() -> Checkpoint {
     let p = sparse_program();
-    let set = capture_interval_checkpoints(
+    let set = capture_checkpoints(
         &p,
         "sparse",
         HierConfig::paper(),
         PredictorConfig::paper(),
-        20, // interval: checkpoint boundaries every 20 instructions
-        1,
+        SampleSpec {
+            interval_len: 20,
+            stride: 1,
+        }
+        .boundaries(),
         1_000_000,
     )
     .expect("functional pass");

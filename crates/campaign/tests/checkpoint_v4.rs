@@ -7,8 +7,8 @@
 //! index must be rejected before it can seed a misaligned replay.
 
 use spear_bpred::PredictorConfig;
-use spear_campaign::checkpoint::{capture_interval_checkpoints, Checkpoint, CHECKPOINT_VERSION};
-use spear_campaign::record_trace;
+use spear_campaign::checkpoint::{capture_checkpoints, Checkpoint, CHECKPOINT_VERSION};
+use spear_campaign::{record_trace, SampleSpec};
 use spear_cpu::{Core, CoreConfig, RunExit, TraceSource};
 use spear_isa::asm::Asm;
 use spear_isa::reg::*;
@@ -36,13 +36,16 @@ fn loop_program() -> Program {
 /// All warm checkpoints of the loop, boundaries every 10 instructions.
 fn checkpoints() -> Vec<Checkpoint> {
     let p = loop_program();
-    capture_interval_checkpoints(
+    capture_checkpoints(
         &p,
         "loop",
         HierConfig::paper(),
         PredictorConfig::paper(),
-        10,
-        1,
+        SampleSpec {
+            interval_len: 10,
+            stride: 1,
+        }
+        .boundaries(),
         100_000,
     )
     .expect("functional pass")

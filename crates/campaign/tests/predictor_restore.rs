@@ -7,7 +7,8 @@
 //! subtly-wrong hit rates with no error anywhere.
 
 use spear_bpred::PredictorConfig;
-use spear_campaign::checkpoint::capture_interval_checkpoints;
+use spear_campaign::checkpoint::capture_checkpoints;
+use spear_campaign::SampleSpec;
 use spear_cpu::{Core, CoreConfig};
 use spear_isa::asm::Asm;
 use spear_isa::reg::*;
@@ -35,8 +36,19 @@ fn loop_program() -> Program {
 /// Warm checkpoints of the loop captured under `bpred`.
 fn checkpoint_with(bpred: PredictorConfig) -> spear_campaign::checkpoint::Checkpoint {
     let p = loop_program();
-    let set = capture_interval_checkpoints(&p, "loop", HierConfig::paper(), bpred, 10, 1, 100_000)
-        .expect("functional pass");
+    let set = capture_checkpoints(
+        &p,
+        "loop",
+        HierConfig::paper(),
+        bpred,
+        SampleSpec {
+            interval_len: 10,
+            stride: 1,
+        }
+        .boundaries(),
+        100_000,
+    )
+    .expect("functional pass");
     set.checkpoints
         .last()
         .expect("checkpoints captured")

@@ -15,10 +15,11 @@
 
 use spear::export::{SimPerf, StatsExport};
 use spear::{report, Machine};
-use spear_campaign::{Campaign, CampaignSpec, MachinePoint, SampleSpec, SimpointSpec};
+use spear_campaign::Campaign;
 use spear_cpu::{Core, TraceSource};
 use spear_isa::binfile;
 use spear_mem::LatencyConfig;
+use spear_serve::JobSpec;
 use spear_trace::TraceFile;
 use std::io::BufWriter;
 use std::process::exit;
@@ -118,17 +119,18 @@ fn parse_num<T: std::str::FromStr>(flag: &str, val: &str) -> T {
     })
 }
 
-/// Resolve a positional program argument: `workload:NAME` compiles the
+/// Resolve a positional program argument: `workload:SPEC` compiles the
 /// built-in workload in-process (profiling input drives the compiler;
-/// evaluation input runs); anything else loads a `.spear` binfile.
+/// evaluation input runs, scaled by an `@xN` suffix exactly as in a
+/// campaign); anything else loads a `.spear` binfile.
 fn load_input(file: &str) -> spear_isa::SpearBinary {
     if let Some(name) = file.strip_prefix("workload:") {
-        let Some(w) = spear_workloads::by_name(name) else {
+        let Some((w, scale)) = spear_workloads::by_spec(name) else {
             eprintln!("spear-sim: unknown workload `{name}`");
             exit(exitcode::USAGE)
         };
         let (table, _) = spear::runner::compile_workload(&w);
-        spear_compiler::SpearCompiler::attach(w.eval_program(), table)
+        spear_compiler::SpearCompiler::attach(w.eval_program_scaled(scale), table)
     } else {
         let bytes = std::fs::read(file).unwrap_or_else(|e| {
             eprintln!("spear-sim: cannot read `{file}`: {e}");
@@ -209,19 +211,14 @@ fn record_main(args: Vec<String>) -> ! {
 /// campaign and write one `--stats-json`-shaped envelope per aggregate.
 fn campaign_main(args: Vec<String>) -> ! {
     let mut dir: Option<String> = None;
-    let mut workloads = vec!["all".to_string()];
-    let mut machines = vec![Machine::Baseline, Machine::Spear128, Machine::Spear256];
-    let mut bpreds = vec![spear_bpred::PredictorConfig::paper()];
-    let mut frontends: Vec<String> = Vec::new();
-    let mut latency: Option<LatencyConfig> = None;
-    let mut interval: u64 = 100_000;
-    let mut stride: u64 = 1;
+    let mut job = JobSpec {
+        workloads: vec!["all".to_string()],
+        machines: ["baseline", "spear-128", "spear-256"]
+            .map(String::from)
+            .to_vec(),
+        ..JobSpec::default()
+    };
     let mut threads: usize = 0;
-    let mut max_cells: Option<u64> = None;
-    let mut window: Option<u64> = None;
-    let mut simpoint = false;
-    let mut simpoint_k: u64 = 0;
-    let mut simpoint_seed: u64 = 42;
     let mut quiet = false;
 
     let mut it = args.into_iter();
@@ -231,59 +228,41 @@ fn campaign_main(args: Vec<String>) -> ! {
             exit(exitcode::USAGE)
         })
     };
+    let list = |s: String| -> Vec<String> { s.split(',').map(str::to_string).collect() };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--dir" => dir = Some(next_val(&mut it, "--dir")),
-            "--workloads" => {
-                workloads = next_val(&mut it, "--workloads")
-                    .split(',')
-                    .map(str::to_string)
-                    .collect()
-            }
-            "--machines" => {
-                machines = next_val(&mut it, "--machines")
-                    .split(',')
-                    .map(parse_machine)
-                    .collect()
-            }
-            "--bpreds" => {
-                bpreds = split_bpred_list(&next_val(&mut it, "--bpreds"))
-                    .iter()
-                    .map(|s| parse_bpred(s))
-                    .collect()
-            }
-            "--frontends" => {
-                frontends = next_val(&mut it, "--frontends")
-                    .split(',')
-                    .map(str::to_string)
-                    .collect()
-            }
+            "--workloads" => job.workloads = list(next_val(&mut it, "--workloads")),
+            "--machines" => job.machines = list(next_val(&mut it, "--machines")),
+            "--bpreds" => job.bpreds = split_bpred_list(&next_val(&mut it, "--bpreds")),
+            "--frontends" => job.frontends = list(next_val(&mut it, "--frontends")),
             "--mem-latency" => {
-                let mem: u32 = parse_num("--mem-latency", &next_val(&mut it, "--mem-latency"));
-                latency = Some(LatencyConfig::sweep_point(mem));
+                job.mem_latency = Some(parse_num(
+                    "--mem-latency",
+                    &next_val(&mut it, "--mem-latency"),
+                ))
             }
-            "--interval" => interval = parse_num("--interval", &next_val(&mut it, "--interval")),
-            "--stride" => stride = parse_num("--stride", &next_val(&mut it, "--stride")),
+            "--interval" => {
+                job.interval = parse_num("--interval", &next_val(&mut it, "--interval"))
+            }
+            "--stride" => job.stride = parse_num("--stride", &next_val(&mut it, "--stride")),
             "--threads" => threads = parse_num("--threads", &next_val(&mut it, "--threads")),
             "--max-cells" => {
-                max_cells = Some(parse_num("--max-cells", &next_val(&mut it, "--max-cells")))
+                job.max_cells = Some(parse_num("--max-cells", &next_val(&mut it, "--max-cells")))
             }
-            "--window" => {
-                let n: u64 = parse_num("--window", &next_val(&mut it, "--window"));
-                window = Some(if n == 0 {
-                    spear_cpu::DEFAULT_WINDOW_CYCLES
-                } else {
-                    n
-                });
-            }
-            "--simpoint" => simpoint = true,
+            "--window" => job.window = Some(parse_num("--window", &next_val(&mut it, "--window"))),
+            "--simpoint" => job.simpoint = true,
             "--simpoint-k" => {
-                simpoint = true;
-                simpoint_k = parse_num("--simpoint-k", &next_val(&mut it, "--simpoint-k"));
+                job.simpoint_k = Some(parse_num(
+                    "--simpoint-k",
+                    &next_val(&mut it, "--simpoint-k"),
+                ))
             }
             "--simpoint-seed" => {
-                simpoint = true;
-                simpoint_seed = parse_num("--simpoint-seed", &next_val(&mut it, "--simpoint-seed"));
+                job.simpoint_seed = Some(parse_num(
+                    "--simpoint-seed",
+                    &next_val(&mut it, "--simpoint-seed"),
+                ))
             }
             "--quiet" => quiet = true,
             _ => {
@@ -296,64 +275,14 @@ fn campaign_main(args: Vec<String>) -> ! {
         eprintln!("spear-sim: campaign needs --dir");
         usage()
     };
-    if workloads.iter().any(|w| w == "all") {
-        workloads = spear_workloads::all()
-            .iter()
-            .map(|w| w.name.to_string())
-            .collect();
-    }
-    for name in &workloads {
-        if spear_workloads::by_spec(name).is_none() {
-            eprintln!("spear-sim: unknown workload `{name}`");
-            exit(exitcode::USAGE)
-        }
-    }
-    if interval == 0 || stride == 0 {
-        eprintln!("spear-sim: --interval and --stride must be nonzero");
+    // The same resolution and validation the campaign server applies to
+    // a submitted spec.
+    let spec = job.resolve(threads).unwrap_or_else(|e| {
+        eprintln!("spear-sim: {e}");
         exit(exitcode::USAGE)
-    }
-    if simpoint && window.is_some() {
-        eprintln!(
-            "spear-sim: --simpoint is incompatible with --window (windowed \
-             telemetry cannot be weight-blended across phase representatives)"
-        );
-        exit(exitcode::USAGE)
-    }
-    if simpoint && stride != 1 {
-        eprintln!("spear-sim: --simpoint requires --stride 1 (clustering replaces sampling)");
-        exit(exitcode::USAGE)
-    }
-
-    let mem_latency = latency.unwrap_or_else(LatencyConfig::paper).memory;
-    let mut points = Vec::with_capacity(machines.len() * bpreds.len());
-    for &m in &machines {
-        for &bp in &bpreds {
-            let mut config = m.config(latency);
-            config.bpred = bp;
-            points.push(MachinePoint {
-                machine: m.name().to_string(),
-                mem_latency,
-                config,
-            });
-        }
-    }
-    let spec = CampaignSpec {
-        workloads,
-        points,
-        frontends,
-        sample: SampleSpec {
-            interval_len: interval,
-            stride,
-        },
-        threads,
-        max_cells,
-        window,
-        simpoint: simpoint.then_some(SimpointSpec {
-            k: simpoint_k,
-            seed: simpoint_seed,
-        }),
-    };
-    let campaign = Campaign::new(&dir, spec.clone());
+    });
+    let envelope_simpoint = spec.simpoint.map(|sp| (sp, spec.sample.interval_len));
+    let campaign = Campaign::new(&dir, spec);
     let progress = |p: &spear_campaign::ProgressSnapshot| {
         eprintln!("{}", report::campaign_progress(p));
     };
@@ -372,7 +301,7 @@ fn campaign_main(args: Vec<String>) -> ! {
     spear_campaign::write_aggregate_envelopes(
         std::path::Path::new(&dir),
         &summary.results,
-        spec.simpoint.map(|sp| (sp, interval)),
+        envelope_simpoint,
     )
     .unwrap_or_else(|e| {
         eprintln!("spear-sim: {e}");
@@ -405,11 +334,8 @@ fn campaign_main(args: Vec<String>) -> ! {
         );
         for a in &aggs {
             println!(
-                "  {:<12} {:<14} {:<10} lat {:>3}  cells {:>4}  IPC {:.4}  {:.0} KIPS",
-                a.workload,
-                a.machine,
-                a.bpred,
-                a.mem_latency,
+                "  {:<44} cells {:>4}  IPC {:.4}  {:.0} KIPS",
+                a.key().to_string(),
                 a.cells,
                 a.ipc(),
                 a.kips()

@@ -23,7 +23,7 @@
 //! change can promote it.
 
 use crate::gen::ProgramSpec;
-use spear_campaign::{capture_checkpoints_at, capture_interval_checkpoints, Checkpoint, Warmer};
+use spear_campaign::{capture_checkpoints, capture_checkpoints_at, Checkpoint, SampleSpec, Warmer};
 use spear_compiler::{CompilerConfig, SpearCompiler};
 use spear_cpu::{Core, CoreConfig, CoreStats, RunExit, TraceSource};
 use spear_exec::{Interp, Memory, RegFile};
@@ -441,13 +441,16 @@ fn check_sampled_vs_full(
             kind: kind.to_string(),
             detail,
         };
-        let set = capture_interval_checkpoints(
+        let set = capture_checkpoints(
             p,
             "fuzz",
             cfg.hier,
             cfg.bpred,
-            interval,
-            stride,
+            SampleSpec {
+                interval_len: interval,
+                stride,
+            }
+            .boundaries(),
             GOLDEN_BUDGET,
         )
         .map_err(|e| fail("sampled", e))?;

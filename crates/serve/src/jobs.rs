@@ -20,7 +20,7 @@
 //! `kill -9` costs at most the cells that were in flight.
 
 use serde::{Deserialize, Serialize};
-use spear_campaign::{CampaignSpec, MachinePoint, SampleSpec};
+use spear_campaign::{CampaignSpec, MachinePoint, SampleSpec, SimpointSpec};
 use spear_cpu::machine::Machine;
 use spear_mem::LatencyConfig;
 use std::path::{Path, PathBuf};
@@ -140,59 +140,35 @@ impl Deserialize for JobSpec {
 }
 
 impl JobSpec {
-    /// Resolve the wire spec into a runnable [`CampaignSpec`], mirroring
-    /// `spear-sim campaign`'s validation exactly: `all` expansion,
-    /// workload and machine name checks, nonzero interval/stride, the
-    /// paper's default latency, and `--window 0` → default window.
+    /// Resolve the wire spec into a runnable [`CampaignSpec`]: `all`
+    /// expansion, machine and predictor names, the machines × predictors
+    /// grid at the requested (or the paper's) latency, and `window: 0` →
+    /// the default window. The result is checked by
+    /// [`CampaignSpec::validate`], so a spec that resolves is one the
+    /// engine runs. `spear-sim campaign` resolves its flags through here
+    /// too, so the CLI and the server accept exactly the same grids.
     pub fn resolve(&self, workers: usize) -> Result<CampaignSpec, String> {
-        let mut workloads = self.workloads.clone();
-        if workloads.iter().any(|w| w == "all") {
-            workloads = spear_workloads::all()
+        let workloads = if self.workloads.iter().any(|w| w == "all") {
+            spear_workloads::all()
                 .iter()
                 .map(|w| w.name.to_string())
-                .collect();
-        }
-        if workloads.is_empty() {
-            return Err("spec needs at least one workload".into());
-        }
-        for name in &workloads {
-            if spear_workloads::by_spec(name).is_none() {
-                return Err(format!("unknown workload `{name}`"));
-            }
-        }
-        if self.machines.is_empty() {
-            return Err("spec needs at least one machine".into());
-        }
+                .collect()
+        } else {
+            self.workloads.clone()
+        };
         let mut machines = Vec::with_capacity(self.machines.len());
         for name in &self.machines {
             machines.push(
                 Machine::from_cli_name(name).ok_or_else(|| format!("unknown machine `{name}`"))?,
             );
         }
-        if self.interval == 0 || self.stride == 0 {
-            return Err("interval and stride must be nonzero".into());
-        }
         // `simpoint_k` / `simpoint_seed` imply simpoint, exactly like the
         // CLI's `--simpoint-k` / `--simpoint-seed` flags.
         let simpoint = (self.simpoint || self.simpoint_k.is_some() || self.simpoint_seed.is_some())
-            .then(|| spear_campaign::SimpointSpec {
+            .then(|| SimpointSpec {
                 k: self.simpoint_k.unwrap_or(0),
-                seed: self
-                    .simpoint_seed
-                    .unwrap_or(spear_campaign::SimpointSpec::default().seed),
+                seed: self.simpoint_seed.unwrap_or(SimpointSpec::default().seed),
             });
-        if simpoint.is_some() {
-            if self.window.is_some() {
-                return Err(
-                    "simpoint is incompatible with window: windowed telemetry cannot be \
-                     weight-blended"
-                        .into(),
-                );
-            }
-            if self.stride != 1 {
-                return Err("simpoint requires stride 1 (phases replace systematic skip)".into());
-            }
-        }
         let mut bpreds = Vec::new();
         let default_bpreds = ["bimodal".to_string()];
         for spec in if self.bpreds.is_empty() {
@@ -205,13 +181,6 @@ impl JobSpec {
                     .with_spec(spec)
                     .map_err(|e| format!("bad predictor spec `{spec}`: {e}"))?,
             );
-        }
-        for f in &self.frontends {
-            if f != "program" && f != "trace" {
-                return Err(format!(
-                    "unknown front end `{f}` (expected `program` or `trace`)"
-                ));
-            }
         }
         let latency = self.mem_latency.map(LatencyConfig::sweep_point);
         let mem_latency = latency.unwrap_or_else(LatencyConfig::paper).memory;
@@ -227,7 +196,7 @@ impl JobSpec {
                 });
             }
         }
-        Ok(CampaignSpec {
+        let spec = CampaignSpec {
             workloads,
             points,
             frontends: self.frontends.clone(),
@@ -245,7 +214,9 @@ impl JobSpec {
                 }
             }),
             simpoint,
-        })
+        };
+        spec.validate()?;
+        Ok(spec)
     }
 }
 
@@ -512,7 +483,7 @@ mod tests {
         assert!(spec
             .resolve(2)
             .unwrap_err()
-            .contains("incompatible with window"));
+            .contains("incompatible with --window"));
         spec.window = None;
         spec.stride = 2;
         assert!(spec.resolve(2).unwrap_err().contains("requires stride 1"));
@@ -555,6 +526,50 @@ mod tests {
         spec.frontends = vec!["program".into(), "trace".into()];
         let resolved = spec.resolve(2).unwrap();
         assert_eq!(resolved.frontends, vec!["program", "trace"]);
+    }
+
+    #[test]
+    fn resolve_rejects_duplicate_axis_values() {
+        // Each duplicate would run the same cells twice and double the
+        // aggregate's counts.
+        let base = JobSpec {
+            workloads: vec!["pointer".into()],
+            machines: vec!["baseline".into()],
+            ..JobSpec::default()
+        };
+        for (spec, want) in [
+            (
+                JobSpec {
+                    workloads: vec!["pointer".into(), "pointer".into()],
+                    ..base.clone()
+                },
+                "workload `pointer` listed more than once",
+            ),
+            (
+                JobSpec {
+                    machines: vec!["baseline".into(), "superscalar".into()],
+                    ..base.clone()
+                },
+                "machine point `superscalar/bimodal/120` listed more than once",
+            ),
+            (
+                JobSpec {
+                    bpreds: vec!["tage".into(), "tage".into()],
+                    ..base.clone()
+                },
+                "machine point `superscalar/tage/120` listed more than once",
+            ),
+            (
+                JobSpec {
+                    frontends: vec!["trace".into(), "trace".into()],
+                    ..base.clone()
+                },
+                "front end `trace` listed more than once",
+            ),
+        ] {
+            assert_eq!(spec.resolve(2).unwrap_err(), want);
+        }
+        assert!(base.resolve(2).is_ok());
     }
 
     #[test]

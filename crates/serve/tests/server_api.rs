@@ -224,6 +224,10 @@ fn invalid_specs_are_rejected_with_400() {
             "{\"workloads\":[\"pointer\"],\"machines\":[\"baseline\"],\"stride\":0}",
             "zero stride",
         ),
+        (
+            "{\"workloads\":[\"pointer\"],\"machines\":[\"baseline\",\"baseline\"]}",
+            "duplicate machines",
+        ),
     ] {
         let (status, body) = submit(&addr, spec);
         assert_eq!(status, 400, "{why}: {body}");
