@@ -423,6 +423,7 @@ impl Predictor {
     /// The fetch stage calls this for every fetched instruction (our fetch
     /// model sees the instruction word, i.e. predecode-time prediction).
     /// Speculatively pushes/pops the return stack for `jal`/`jr`.
+    #[inline]
     pub fn predict(&mut self, pc: u32, inst: &Inst) -> Prediction {
         let fall = pc + 1;
         match inst.op.shape() {
@@ -476,6 +477,7 @@ impl Predictor {
     /// Resolve a control instruction on the true path: update direction
     /// tables, BTB, and statistics. `predicted` is what [`Predictor::predict`]
     /// returned at fetch (if this instruction was fetched with a prediction).
+    #[inline]
     pub fn update(
         &mut self,
         pc: u32,

@@ -9,7 +9,8 @@
 //! - **warm microarchitectural state** — cache hierarchy contents (tags,
 //!   validity, dirtiness, LRU order) and branch-predictor state
 //!   (direction counters, BTB, return stack), accumulated by a
-//!   [`Warmer`] that observes every functionally executed instruction.
+//!   [`Warmer`] that observes every functionally executed instruction
+//!   before the checkpoint.
 //!
 //! Warm state is deliberately *quiesced*: nothing is in flight. In-flight
 //! fills, prefetch ownership and all statistics are reset on restore so a
@@ -253,21 +254,27 @@ fn from_rle_hex(s: &str) -> Result<Vec<u8>, String> {
 /// fast-forward, mirroring what the cycle core's front end and memory
 /// system would have learned over the same instruction stream:
 ///
-/// - every load/store is pushed through a scratch [`Hierarchy`] (demand
-///   path, no p-thread traffic — functional warming predates any
-///   pre-execution);
+/// - every load/store is pushed through a scratch [`Hierarchy`] along
+///   the timing-free [`Hierarchy::warm_data`] path, which makes the same
+///   tag/dirty/LRU transitions as a main-thread demand access (no
+///   p-thread traffic — functional warming predates any pre-execution);
 /// - instruction fetch touches the L1I once per block transition, the
 ///   same charging rule the core's fetch stage uses;
 /// - every control instruction is predicted then resolved, so direction
 ///   counters, the BTB and the return stack track the true path.
 ///
-/// Warming time advances by one "cycle" per instruction, so outstanding
-/// fills expire after a bounded window and the final state is quiesced.
+/// The warm state is quiesced by construction: nothing is ever in
+/// flight. A hierarchy with a stride prefetcher is the one exception to
+/// the timing-free path — its hardware fills depend on the access PC and
+/// change tags — so it is warmed through [`Hierarchy::access_data`] with
+/// time advancing one cycle per instruction.
 pub struct Warmer {
     hier: Hierarchy,
     pred: Predictor,
     last_fetch_block: Option<u64>,
-    now: u64,
+    /// Functional time for the timed path: `Some` only when the
+    /// hierarchy has a stride prefetcher.
+    stride_clock: Option<u64>,
 }
 
 impl Warmer {
@@ -277,16 +284,16 @@ impl Warmer {
             hier: Hierarchy::new(hier_cfg),
             pred: Predictor::new(bpred_cfg),
             last_fetch_block: None,
-            now: 0,
+            stride_clock: hier_cfg.stride_prefetch.map(|_| 0),
         }
     }
 
     /// Observe one functionally executed instruction.
+    #[inline]
     pub fn observe(&mut self, si: &StepInfo) {
-        self.now += 1;
         // Instruction side: one L1I access per block transition.
         let addr = Program::inst_addr(si.pc);
-        let block = addr / self.hier.l1i.geometry().block_bytes as u64;
+        let block = addr >> self.hier.l1i.block_shift();
         if self.last_fetch_block != Some(block) {
             self.hier.access_inst(addr);
             self.last_fetch_block = Some(block);
@@ -299,14 +306,25 @@ impl Warmer {
             self.pred
                 .update(si.pc, &si.inst, taken, si.outcome.next_pc, Some(pred));
         }
-        // Data side: demand accesses at functional time.
-        if let Some(ea) = si.outcome.eff_addr {
-            let kind = if si.inst.op.is_store() {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            self.hier.access_data(ea, kind, si.pc, false, self.now);
+        // Data side: demand accesses.
+        let is_write = si.inst.op.is_store();
+        match &mut self.stride_clock {
+            None => {
+                if let Some(ea) = si.outcome.eff_addr {
+                    self.hier.warm_data(ea, is_write);
+                }
+            }
+            Some(now) => {
+                *now += 1;
+                if let Some(ea) = si.outcome.eff_addr {
+                    let kind = if is_write {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    self.hier.access_data(ea, kind, si.pc, false, *now);
+                }
+            }
         }
     }
 
@@ -344,9 +362,13 @@ impl CheckpointSet {
 
 /// Run one functional pass over `program`, capturing a checkpoint at
 /// each instruction boundary `boundaries` yields (ascending and unique).
-/// The [`Warmer`] observes *every* instruction, including those between
-/// boundaries — warming is continuous even where cycle simulation is
-/// not — so each checkpoint carries the warm state of the whole prefix.
+/// The [`Warmer`] observes *every* instruction up to the last boundary,
+/// including those between boundaries — warming is continuous even where
+/// cycle simulation is not — so each checkpoint carries the warm state of
+/// the whole prefix. Once `boundaries` is used up, the rest of the
+/// program runs on the bare interpreter: no checkpoint would see its
+/// warm state, and only its length (`total_insts`) and the `max_insts`
+/// bound still matter.
 ///
 /// `boundaries` may be lazy and unbounded (the systematic multiples of
 /// [`crate::SampleSpec::boundaries`], whose count depends on a program
@@ -368,28 +390,32 @@ pub fn capture_checkpoints(
     let mut interp = Interp::new(program);
     let mut warmer = Warmer::new(hier_cfg, bpred_cfg);
     let mut checkpoints = Vec::new();
-    // `u64::MAX` once the boundaries run out: `max_insts` stops the pass
-    // long before the instruction count could reach it.
-    let mut next = boundaries.next().unwrap_or(u64::MAX);
-    loop {
-        if interp.halted {
+    let mut next = boundaries.next();
+    let failed = |e| format!("{workload}: functional pass failed: {e}");
+    while let Some(boundary) = next {
+        if interp.halted || interp.icount >= max_insts {
             break;
         }
-        if interp.icount >= max_insts {
-            return Err(format!(
-                "{workload}: functional pass exceeded {max_insts} instructions without halting"
-            ));
-        }
-        if interp.icount == next {
+        if interp.icount == boundary {
             checkpoints.push(Checkpoint::capture(workload, &interp, &warmer));
-            let prev = next;
-            next = boundaries.next().unwrap_or(u64::MAX);
-            debug_assert!(next > prev, "boundaries must be ascending and unique");
+            next = boundaries.next();
+            debug_assert!(
+                next.is_none_or(|n| n > boundary),
+                "boundaries must be ascending and unique"
+            );
         }
-        let si = interp
-            .step()
-            .map_err(|e| format!("{workload}: functional pass failed: {e}"))?;
+        let si = interp.step().map_err(failed)?;
         warmer.observe(&si);
+    }
+    // No checkpoint follows the last boundary, so no warm state is
+    // needed past it: run to halt bare, still bounded by `max_insts`.
+    interp
+        .run(max_insts.saturating_sub(interp.icount))
+        .map_err(failed)?;
+    if !interp.halted {
+        return Err(format!(
+            "{workload}: functional pass exceeded {max_insts} instructions without halting"
+        ));
     }
     Ok(CheckpointSet {
         checkpoints,
@@ -567,6 +593,114 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("halt point"), "{err}");
+    }
+
+    /// Reference capture: warm every instruction to halt, capturing at
+    /// each of `boundaries`.
+    fn full_warming_reference(p: &Program, boundaries: &[u64]) -> CheckpointSet {
+        let mut interp = Interp::new(p);
+        let mut warmer = Warmer::new(HierConfig::paper(), PredictorConfig::paper());
+        let mut checkpoints = Vec::new();
+        while !interp.halted {
+            if boundaries.contains(&interp.icount) {
+                checkpoints.push(Checkpoint::capture("chase", &interp, &warmer));
+            }
+            warmer.observe(&interp.step().unwrap());
+        }
+        CheckpointSet {
+            checkpoints,
+            total_insts: interp.icount,
+        }
+    }
+
+    #[test]
+    fn explicit_boundaries_ending_early_match_full_warming() {
+        let p = chase_program(100);
+        for boundaries in [&[][..], &[0], &[3, 57], &[0, 120, 121, 300]] {
+            let want = full_warming_reference(&p, boundaries);
+            let got = capture_checkpoints_at(
+                &p,
+                "chase",
+                HierConfig::paper(),
+                PredictorConfig::paper(),
+                boundaries,
+                1_000_000,
+            )
+            .unwrap();
+            assert_eq!(got.total_insts, 506, "{boundaries:?}");
+            assert_eq!(got.total_insts, want.total_insts, "{boundaries:?}");
+            assert_eq!(got.checkpoints.len(), boundaries.len());
+            for (a, b) in got.checkpoints.iter().zip(&want.checkpoints) {
+                assert_eq!(a.to_json(), b.to_json(), "{boundaries:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn runaway_after_the_last_boundary_still_hits_the_budget() {
+        let mut a = Asm::new();
+        a.li(R1, 1);
+        a.label("spin");
+        a.addi(R2, R2, 1);
+        a.bne(R1, R0, "spin");
+        a.halt();
+        let p = a.finish().unwrap();
+        let err = capture_checkpoints_at(
+            &p,
+            "spin",
+            HierConfig::paper(),
+            PredictorConfig::paper(),
+            &[0, 10],
+            5_000,
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("exceeded 5000 instructions without halting"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn stride_prefetching_warmers_keep_the_timed_path() {
+        // Stride prefetches install tags, so a warmer over a hierarchy
+        // with a stride prefetcher must match the timing path with the
+        // prefetcher attached, not the timing-free path.
+        let p = chase_program(200);
+        let paper = HierConfig::paper();
+        let stride = HierConfig {
+            stride_prefetch: Some(spear_mem::StrideConfig::default()),
+            ..paper
+        };
+        let mut interp = Interp::new(&p);
+        let mut plain = Warmer::new(paper, PredictorConfig::paper());
+        let mut warmer = Warmer::new(stride, PredictorConfig::paper());
+        let mut reference = Hierarchy::new(stride);
+        let mut last_fetch_block = None;
+        while !interp.halted {
+            let si = interp.step().unwrap();
+            plain.observe(&si);
+            warmer.observe(&si);
+            let addr = Program::inst_addr(si.pc);
+            let block = addr >> reference.l1i.block_shift();
+            if last_fetch_block != Some(block) {
+                reference.access_inst(addr);
+                last_fetch_block = Some(block);
+            }
+            if let Some(ea) = si.outcome.eff_addr {
+                let kind = if si.inst.op.is_store() {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                reference.access_data(ea, kind, si.pc, false, interp.icount);
+            }
+        }
+        assert!(
+            reference.hw_prefetch_fills > 0,
+            "the chase must train the prefetcher"
+        );
+        assert_eq!(warmer.hier_snapshot(), reference.snapshot());
+        assert_ne!(plain.hier_snapshot(), reference.snapshot());
     }
 
     #[test]

@@ -88,6 +88,7 @@ impl BbvCollector {
     }
 
     /// Observe one committed instruction from an interpreter step.
+    #[inline]
     pub fn observe(&mut self, si: &StepInfo) {
         self.observe_committed(si.pc, si.inst.op.is_ctrl());
     }
@@ -95,6 +96,7 @@ impl BbvCollector {
     /// Observe one committed instruction given only its PC and whether
     /// it is a control-flow instruction — everything a replayed trace
     /// knows, and everything block identity depends on.
+    #[inline]
     pub fn observe_committed(&mut self, pc: u32, is_ctrl: bool) {
         if self.block_len == 0 {
             self.block_start = pc;

@@ -107,6 +107,7 @@ impl<'p> Interp<'p> {
 
     /// Execute one instruction. Returns what happened; errors are workload
     /// bugs (out-of-bounds access, runaway PC).
+    #[inline]
     pub fn step(&mut self) -> Result<StepInfo, ExecError> {
         debug_assert!(!self.halted, "stepping a halted interpreter");
         let pc = self.pc;

@@ -28,6 +28,7 @@ use spear_compiler::{CompilerConfig, SpearCompiler};
 use spear_cpu::{Core, CoreConfig, CoreStats, RunExit, TraceSource};
 use spear_exec::{Interp, Memory, RegFile};
 use spear_isa::{Program, SpearBinary};
+use spear_mem::{AccessKind, Hierarchy};
 
 /// Instruction budget for the golden interpreter (generated programs are
 /// a few thousand dynamic instructions; anything near this bound is a
@@ -333,9 +334,11 @@ fn check_trace_replay(
 }
 
 /// Mid-run checkpoint oracle: capture at the halfway instruction with a
-/// functional pass + warmer, round-trip the document through JSON
-/// byte-identically, restore it into a fresh SPEAR core, and require the
-/// back half to reach the same final state as the golden model.
+/// functional pass + warmer, require its warm caches to equal those of a
+/// reference hierarchy warmed through the timing path, round-trip the
+/// document through JSON byte-identically, restore it into a fresh SPEAR
+/// core, and require the back half to reach the same final state as the
+/// golden model.
 fn check_checkpoint_roundtrip(
     p: &Program,
     binary: &SpearBinary,
@@ -355,13 +358,45 @@ fn check_checkpoint_roundtrip(
     let cfg = CoreConfig::spear(128);
     let mut interp = Interp::new(p);
     let mut warmer = Warmer::new(cfg.hier, cfg.bpred);
+    // The warmer's timing-free data path is held to the timing path: a
+    // reference hierarchy sees the same fetch-block transitions and
+    // demand accesses through `access_data` and must end warm-identical.
+    let mut reference = Hierarchy::new(cfg.hier);
+    let mut last_fetch_block = None;
     while interp.icount < mid {
         let si = interp
             .step()
             .map_err(|e| fail("checkpoint", e.to_string()))?;
         warmer.observe(&si);
+        let addr = Program::inst_addr(si.pc);
+        let block = addr >> reference.l1i.block_shift();
+        if last_fetch_block != Some(block) {
+            reference.access_inst(addr);
+            last_fetch_block = Some(block);
+        }
+        if let Some(ea) = si.outcome.eff_addr {
+            let kind = if si.inst.op.is_store() {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            reference.access_data(ea, kind, si.pc, false, interp.icount);
+        }
     }
     let cp = Checkpoint::capture("fuzz", &interp, &warmer);
+    let want = reference.snapshot();
+    for (cache, got, want) in [
+        ("l1d", &cp.hier.l1d, &want.l1d),
+        ("l1i", &cp.hier.l1i, &want.l1i),
+        ("l2", &cp.hier.l2, &want.l2),
+    ] {
+        if got != want {
+            return Err(fail(
+                "checkpoint",
+                format!("warm {cache} differs from the {cache} of a hierarchy warmed through access_data"),
+            ));
+        }
+    }
 
     // The JSON encoding must be a fixed point: decode(encode(cp)) must
     // re-encode byte-identically, or checkpoints drift across resumes.

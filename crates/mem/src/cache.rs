@@ -239,6 +239,7 @@ impl Cache {
 
     /// Access `addr`; on a miss the line is filled (write-allocate).
     /// Write hits and write fills mark the line dirty.
+    #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessResult {
         self.tick += 1;
         let tick = self.tick;

@@ -2,7 +2,7 @@
 //! memory, with the access latencies of Table 2 (and the Figure 9 latency
 //! sweep knobs).
 
-use crate::cache::{Cache, CacheGeometry, CacheStats, ReplPolicy};
+use crate::cache::{AccessResult, Cache, CacheGeometry, CacheStats, ReplPolicy};
 use crate::prefetch::{StrideConfig, StridePrefetcher};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -228,11 +228,13 @@ pub struct Hierarchy {
     /// Fill log for pipeline-event tracing (`None` = disabled, the
     /// default: one branch per fill).
     fill_log: Option<Vec<FillRecord>>,
-    /// Main-thread accesses that hit a line the p-thread prefetched
-    /// (fully — an L1 hit) — the "useful prefetch" count.
+    /// Main-thread accesses that hit a line a p-thread load prefetched
+    /// (fully — an L1 hit) — the "useful prefetch" count; the sum of the
+    /// per-d-load `timely` counts.
     pub useful_prefetches: u64,
     /// Main-thread accesses that merged into a still-in-flight p-thread
-    /// fill (a partially useful prefetch).
+    /// load fill (a partially useful prefetch); the sum of the per-d-load
+    /// `late` counts.
     pub late_prefetches: u64,
     /// Fills delayed because all MSHRs were busy.
     pub mshr_stalls: u64,
@@ -281,13 +283,8 @@ impl Hierarchy {
         if let Some(prev) = self.pthread_owner[r1.line_idx].take() {
             self.classify_useless(prev);
         }
-        if r1.writeback {
-            if let Some(victim) = r1.evicted {
-                self.l2.access(victim, true);
-            }
-        }
-        let r2 = self.l2.access(addr, false);
-        let raw = if r2.hit {
+        let l2_hit = self.l2_fill(addr, &r1);
+        let raw = if l2_hit {
             self.latency.l1_hit + self.latency.l2_hit
         } else {
             self.latency.l1_hit + self.latency.l2_hit + self.latency.memory
@@ -298,9 +295,22 @@ impl Hierarchy {
         self.l1d.stats.reads -= 1;
         self.l1d.stats.read_misses -= 1;
         self.l2.stats.reads -= 1;
-        if !r2.hit {
+        if !l2_hit {
             self.l2.stats.read_misses -= 1;
         }
+    }
+
+    /// The L2 half of an L1D miss whose fill is `r1`: install the dirty
+    /// victim in L2 (write-back), then read `addr`'s line into L2.
+    /// Returns whether L2 hit. Every L1D fill path walks L2 through here.
+    #[inline]
+    fn l2_fill(&mut self, addr: u64, r1: &AccessResult) -> bool {
+        if r1.writeback {
+            if let Some(victim) = r1.evicted {
+                self.l2.access(victim, true);
+            }
+        }
+        self.l2.access(addr, false).hit
     }
 
     fn block_of(&self, addr: u64) -> u64 {
@@ -473,26 +483,26 @@ impl Hierarchy {
                 // The line is already present (or already in flight):
                 // this prefetch brought nothing new — redundant.
                 self.classify_useless(owner);
-            } else if let Some(prev) = self.pthread_owner[r1.line_idx].take() {
+            } else if let Some(Some(pc)) = self.pthread_owner[r1.line_idx].take() {
                 // Prefetch-effectiveness accounting: the first
-                // main-thread touch of a p-thread-fetched line is a
-                // useful (or, if the fill is still in flight, late)
-                // prefetch.
+                // main-thread touch of a line a p-thread *load* fetched
+                // is a useful (or, if the fill is still in flight, late)
+                // prefetch. The `take` also clears a line a p-thread
+                // store filled (owner `Some(None)`): it warmed the cache
+                // but prefetched for no d-load, so neither the per-d-load
+                // profiles nor the run-wide counters count its claim.
                 let block = self.block_of(addr);
                 let in_flight = self
                     .pending_fills
                     .iter()
                     .any(|&(b, t)| b == block && t > now);
+                let profile = self.dload_profiles.entry(pc).or_default();
                 if in_flight {
                     self.late_prefetches += 1;
-                    if let Some(pc) = prev {
-                        self.dload_profiles.entry(pc).or_default().late += 1;
-                    }
+                    profile.late += 1;
                 } else {
                     self.useful_prefetches += 1;
-                    if let Some(pc) = prev {
-                        self.dload_profiles.entry(pc).or_default().timely += 1;
-                    }
+                    profile.timely += 1;
                 }
             }
             // Tag hit, but the line may still be in flight.
@@ -518,14 +528,7 @@ impl Hierarchy {
         if let Some(prev) = self.pthread_owner[r1.line_idx].take() {
             self.classify_useless(prev);
         }
-        // Write-back of the evicted dirty line into L2.
-        if r1.writeback {
-            if let Some(victim) = r1.evicted {
-                self.l2.access(victim, true);
-            }
-        }
-        let r2 = self.l2.access(addr, false);
-        let (raw_latency, served_by) = if r2.hit {
+        let (raw_latency, served_by) = if self.l2_fill(addr, &r1) {
             (self.latency.l1_hit + self.latency.l2_hit, ServedBy::L2)
         } else {
             (
@@ -543,7 +546,27 @@ impl Hierarchy {
         MemAccess { latency, served_by }
     }
 
+    /// A main-thread data access reduced to its effect on warm state:
+    /// exactly the L1D, L2 write-back and L2 fill tag/dirty/LRU
+    /// transitions (and cache statistics) that
+    /// `access_data(addr, .., is_pthread: false, ..)` makes, without the
+    /// timing bookkeeping no checkpoint keeps — in-flight fills, per-PC
+    /// misses, delayed hits and p-thread line ownership. The functional
+    /// warming path.
+    ///
+    /// The stride prefetcher is not consulted (it needs the access PC
+    /// and its fills change tags): a hierarchy configured with one must
+    /// be warmed through [`Hierarchy::access_data`].
+    #[inline]
+    pub fn warm_data(&mut self, addr: u64, is_write: bool) {
+        let r1 = self.l1d.access(addr, is_write);
+        if !r1.hit {
+            self.l2_fill(addr, &r1);
+        }
+    }
+
     /// An instruction fetch of the block containing `addr`.
+    #[inline]
     pub fn access_inst(&mut self, addr: u64) -> MemAccess {
         let r1 = self.l1i.access(addr, false);
         if r1.hit {

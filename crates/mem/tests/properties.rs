@@ -119,6 +119,45 @@ proptest! {
         prop_assert_eq!(h.pc_misses.total(), h.l1d.stats.misses());
     }
 
+    /// The timing-free warming path leaves exactly the warm state (tags,
+    /// dirty bits, replacement order) the main-thread timing path does.
+    /// Addresses alias on purpose: 10 tags 64 KiB apart collide in one
+    /// L2 set and, 8 KiB apart, in one L1D set, so both levels evict
+    /// (dirty lines included) and the L2 sees write-backs.
+    #[test]
+    fn warm_data_matches_main_thread_access_data(
+        ops in proptest::collection::vec(
+            (0u64..10, 0u64..8, 0u64..4, any::<bool>(), 0u64..200, 0u32..8),
+            1..600,
+        ),
+        policy in prop_oneof![
+            Just(ReplPolicy::Lru),
+            Just(ReplPolicy::Fifo),
+            Just(ReplPolicy::Random)
+        ]
+    ) {
+        let cfg = HierConfig { policy, ..HierConfig::paper() };
+        let mut timed = Hierarchy::new(cfg);
+        let mut warm = Hierarchy::new(cfg);
+        let mut now = 0u64;
+        for (i, &(tag, alias, set, w, dt, pc)) in ops.iter().enumerate() {
+            let addr = (tag << 16) | (alias << 13) | (set << 5);
+            let kind = if w { AccessKind::Write } else { AccessKind::Read };
+            // Small time steps leave fills in flight (delayed hits).
+            now += dt;
+            timed.access_data(addr, kind, pc, false, now);
+            warm.warm_data(addr, w);
+            if i % 50 == 0 {
+                prop_assert_eq!(warm.snapshot(), timed.snapshot(), "after op #{}", i);
+            }
+        }
+        prop_assert_eq!(warm.snapshot(), timed.snapshot());
+        prop_assert_eq!(warm.l1d.stats, timed.l1d.stats);
+        prop_assert_eq!(warm.l2.stats, timed.l2.stats);
+        prop_assert!(warm.l1d.stats.writebacks > 0 || ops.len() < 100,
+            "long streams must exercise dirty evictions");
+    }
+
     /// Pending-fill merges never report more than the full walk and never
     /// less than an L1 hit.
     #[test]
